@@ -60,6 +60,10 @@ pub mod sites {
     /// Panic injected into a batched forward pass (the flush path) — the
     /// scheduler must contain it and abort only the affected batch.
     pub const SERVE_BATCH_PANIC: &str = "serve.batch.panic";
+    /// Stall injected into a batched forward pass before the model runs —
+    /// holds a batch leader mid-pass so rows for the same task set queue
+    /// behind it.
+    pub const SERVE_BATCH_STALL: &str = "serve.batch.stall";
     /// Panic injected into a matmul shard running on the compute pool —
     /// the dispatcher must recompute the lost shard inline instead of
     /// propagating the panic to the caller.

@@ -72,10 +72,12 @@ USAGE
       requests per connection (0 = no cap), --drain-deadline-ms bounds
       the graceful-shutdown drain (default 5000). PREDICTs from
       concurrent connections that name the same task set are coalesced
-      into one batched inference: --max-batch caps the batch (default 32;
-      ≤1 disables batching) and --batch-delay-us bounds how long the
-      first request waits for company (default 1000). The always-on
-      flight recorder keeps the last --recorder-events structured events
+      by group commit: a lone PREDICT runs at once, and those arriving
+      while it runs form the next batched inference. --max-batch caps
+      the batch (default 32; ≤1 disables batching) and --batch-delay-us
+      makes a batch leader wait up to N µs for company first (default 0,
+      run at once). The always-on flight recorder keeps the last
+      --recorder-events structured events
       (default 4096) and dumps them as JSONL to --recorder-dir on
       SHUTDOWN, on a panic, and on the DUMP verb (read dumps with
       `poe obs`). With a v4 segment store (experts.poem) experts load

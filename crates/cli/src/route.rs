@@ -338,20 +338,23 @@ impl RouteServer {
             flight: Some(Arc::clone(&obs.flight)),
         };
         let (tx, rx) = channel::<(ConnToken, String)>();
-        let svc = Arc::new(RouteNetService {
-            shared: Arc::clone(&shared),
-            tx: Mutex::new(Some(tx)),
-            completions: OnceLock::new(),
-        });
-        let event_loop = EventLoop::start(listener, svc.clone(), loop_cfg)?;
-        let handle = event_loop.handle();
-        svc.completions
-            .set(handle.completions())
-            .expect("completions set once");
-        shared
-            .net_handle
-            .set(handle)
-            .expect("one event loop per route server");
+        // Wired before the loop thread starts, so a line already waiting
+        // in the listener's backlog finds the completions and loop handle.
+        let (event_loop, svc) = EventLoop::start(
+            listener,
+            |handle| {
+                shared
+                    .net_handle
+                    .set(handle.clone())
+                    .expect("one event loop per route server");
+                Arc::new(RouteNetService {
+                    shared: Arc::clone(&shared),
+                    tx: Mutex::new(Some(tx)),
+                    completions: handle.completions(),
+                })
+            },
+            loop_cfg,
+        )?;
         let rx = Arc::new(Mutex::new(rx));
         let mut dispatchers = Vec::with_capacity(workers_n);
         for i in 0..workers_n {
@@ -596,7 +599,7 @@ struct RouteNetService {
     shared: Arc<RouteShared>,
     /// Dispatch queue into the worker pool; dropped to stop the workers.
     tx: Mutex<Option<Sender<(ConnToken, String)>>>,
-    completions: OnceLock<poe_net::Completions>,
+    completions: poe_net::Completions,
 }
 
 impl RouteNetService {
@@ -605,10 +608,6 @@ impl RouteNetService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
-    }
-
-    fn completions(&self) -> &poe_net::Completions {
-        self.completions.get().expect("loop started")
     }
 }
 
@@ -619,8 +618,7 @@ impl NetService for RouteNetService {
             None => false,
         };
         if !sent {
-            self.completions()
-                .complete(conn, String::new(), After::Abort);
+            self.completions.complete(conn, String::new(), After::Abort);
         }
     }
 
@@ -703,7 +701,7 @@ fn route_dispatch_worker(rx: Arc<Mutex<Receiver<(ConnToken, String)>>>, svc: Arc
         if after == After::Shutdown {
             shared.trigger_shutdown();
         }
-        svc.completions().complete(conn, reply, after);
+        svc.completions.complete(conn, reply, after);
     }
 }
 
@@ -951,6 +949,48 @@ mod tests {
         assert!(line.contains("draining=0"), "{line}");
         s.draining.store(true, Ordering::Release);
         assert!(health_line(&s).contains("draining=1"));
+    }
+
+    /// A `HEALTH` that is already in the listener's backlog when the epoll
+    /// front tier starts is answered (the loop is wired to its service
+    /// before it runs), and the tier keeps accepting afterwards.
+    #[test]
+    fn epoll_answers_a_line_queued_before_start() {
+        use std::io::{BufRead, BufReader, Write};
+        if !poe_net::epoll_supported() {
+            return;
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Each connection sends `HEALTH` and reads one answer line.
+        let ask_health = |mut stream: TcpStream| {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream.write_all(b"HEALTH\n").unwrap();
+            move || {
+                let mut line = String::new();
+                BufReader::new(stream).read_line(&mut line).unwrap();
+                line
+            }
+        };
+        let early = ask_health(TcpStream::connect(addr).unwrap());
+        let cfg = RouteConfig {
+            net: NetBackend::Epoll,
+            workers: 2,
+            ..test_shared("0-9=127.0.0.1:9").cfg
+        };
+        let server =
+            RouteServer::start(listener, ShardMap::parse("0-9=127.0.0.1:9").unwrap(), cfg).unwrap();
+        let line = early();
+        assert!(
+            line.starts_with("OK live=1 ") && line.contains(" role=router "),
+            "{line}"
+        );
+        let line = ask_health(TcpStream::connect(addr).unwrap())();
+        assert!(line.starts_with("OK live=1 "), "{line}");
+        server.handle().shutdown();
+        server.join().unwrap();
     }
 
     #[test]

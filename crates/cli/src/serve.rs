@@ -15,13 +15,17 @@
 //!
 //! ## Cross-connection micro-batching
 //!
-//! Under a running [`Server`], `PREDICT` requests are not answered one by
-//! one: each is parked in a per-task-set batch queue (keyed on the
-//! *sorted* task set, exactly like the consolidation cache) and a
-//! batch scheduler flushes a queue when it reaches
-//! [`ServeConfig::max_batch`] samples or [`ServeConfig::batch_delay`]
-//! elapses — whichever comes first. A flush runs **one** batched
-//! inference through the shared CoW-assembled model
+//! Under a running [`Server`], `PREDICT` requests for the same *sorted*
+//! task set (the consolidation cache's key) are batched by group commit,
+//! with no timer thread. The first request for a task set with no pass
+//! in progress *leads*: it runs at once on its own worker. Requests that
+//! arrive while that pass runs queue behind it; when it ends, the first
+//! of them leads the next batch (up to [`ServeConfig::max_batch`] rows)
+//! on its own worker, so the old leader's reply is not delayed. A queue
+//! that fills flushes inline on the worker that filled it, and a
+//! non-zero [`ServeConfig::batch_delay`] makes a leader wait that long
+//! for company first. Every flush runs **one** batched inference through
+//! the shared CoW-assembled model
 //! ([`poe_core::service::QueryService::predict_batch`]) and demultiplexes
 //! the per-row predictions back to the waiting connections, so concurrent
 //! clients asking for the same composite model amortize both the
@@ -86,7 +90,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{
+    sync_channel, Receiver, RecvError, RecvTimeoutError, SyncSender, TrySendError,
+};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -154,9 +160,10 @@ impl NetBackend {
     }
 }
 
-/// Default micro-batch window in microseconds: how long the first request
-/// of a batch waits for company before a timeout flush.
-pub const DEFAULT_BATCH_DELAY_US: u64 = 1000;
+/// Default micro-batch window in microseconds: how long a batch leader
+/// waits for company before it runs. `0` is pure group commit — a lone
+/// `PREDICT` runs at once, and rows arriving meanwhile form the next batch.
+pub const DEFAULT_BATCH_DELAY_US: u64 = 0;
 
 /// Tuning knobs of the serving substrate. `ServeConfig::default()` is a
 /// sane lab setup; `docs/OPERATIONS.md` discusses sizing.
@@ -198,8 +205,10 @@ pub struct ServeConfig {
     /// this many samples. Values ≤ 1 disable cross-connection batching
     /// (every `PREDICT` runs immediately, as a batch of one).
     pub max_batch: usize,
-    /// Micro-batching: flush a non-empty queue this long after its first
-    /// request arrived, even if it never fills (bounds added latency).
+    /// Micro-batching: how long a batch leader waits on its own worker
+    /// for more rows before it runs (bounds added latency). Zero runs
+    /// every leader at once; rows that arrive during its pass form the
+    /// next batch.
     pub batch_delay: Duration,
     /// Flight-recorder ring capacity (events retained); applied to the
     /// service's recorder when the server starts.
@@ -338,7 +347,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Micro-batch flush delay after the first queued request.
+    /// How long a batch leader waits for company (zero = at once).
     pub fn batch_delay(mut self, t: Duration) -> Self {
         self.cfg.batch_delay = t;
         self
@@ -432,9 +441,13 @@ struct BatchMetrics {
     /// `serve.batch.queue_depth` — samples currently parked across all
     /// per-task-set queues.
     queue_depth: Arc<poe_obs::Gauge>,
+    /// `serve.batch.flush.leader` — batches a leader ran at once (the
+    /// group-commit path, `--batch-delay-us 0`).
+    flush_leader: Arc<poe_obs::Counter>,
     /// `serve.batch.flush.full` — flushes triggered by a full queue.
     flush_full: Arc<poe_obs::Counter>,
-    /// `serve.batch.flush.timeout` — flushes triggered by the delay timer.
+    /// `serve.batch.flush.timeout` — batches a leader ran after waiting
+    /// out `--batch-delay-us`.
     flush_timeout: Arc<poe_obs::Counter>,
     /// `serve.batch.flush.drain` — flushes triggered by shutdown drain
     /// (including post-drain stragglers run as batches of one).
@@ -450,6 +463,7 @@ impl BatchMetrics {
         BatchMetrics {
             size: r.histogram("serve.batch.size"),
             queue_depth: r.gauge("serve.batch.queue_depth"),
+            flush_leader: r.counter("serve.batch.flush.leader"),
             flush_full: r.counter("serve.batch.flush.full"),
             flush_timeout: r.counter("serve.batch.flush.timeout"),
             flush_drain: r.counter("serve.batch.flush.drain"),
@@ -458,33 +472,47 @@ impl BatchMetrics {
     }
 }
 
+/// What wakes a parked `PREDICT`.
+enum Wake {
+    /// This row's prediction, or its batch's consolidation error.
+    Done(Result<Prediction, QueryError>),
+    /// The pass this row queued behind has ended and the row is first in
+    /// line: its worker now leads the task set and runs the next batch.
+    Lead,
+}
+
 /// One `PREDICT` parked in a batch queue: its feature row and the
-/// single-use channel its prediction comes back on. Dropping the sender
-/// without sending wakes the parked request with [`WireError::BatchAborted`].
+/// single-use channel that wakes it. Dropping the sender without sending
+/// wakes the parked request with [`WireError::BatchAborted`].
 struct Parked {
     features: Vec<f32>,
-    tx: SyncSender<Result<Prediction, QueryError>>,
+    tx: SyncSender<Wake>,
     /// The parked request's id, captured at submit time so flush events in
     /// the flight recorder can name every row they answered (or lost).
     request_id: u64,
 }
 
-/// The rows accumulated for one task set, plus the deadline by which the
-/// timer thread flushes them regardless of fill.
-struct PendingBatch {
-    rows: Vec<Parked>,
-    deadline: Instant,
-}
+/// Per-task-set queues. A key is present exactly while one worker leads
+/// that task set; its rows are the requests waiting for the next pass.
+type Queues = HashMap<Vec<usize>, Vec<Parked>>;
 
-/// The cross-connection micro-batch scheduler.
+/// The cross-connection micro-batch scheduler: leader/follower batching
+/// (group commit), with no timer thread.
 ///
-/// `PREDICT` requests park in per-task-set queues (keyed on the *sorted*
-/// task set, mirroring the consolidation cache, so permutations of the
-/// same composite task share a batch). A queue flushes when it reaches
-/// `max_batch` rows — inline, on the worker that filled it — or when
-/// `delay` elapses since its first row, on the dedicated timer thread.
-/// A flush runs one [`QueryService::predict_batch`] and demultiplexes the
-/// per-row predictions back to the parked connections.
+/// `PREDICT` requests queue per task set (keyed on the *sorted* task set,
+/// mirroring the consolidation cache, so permutations of the same
+/// composite task share a batch).
+///
+/// * **Leader** — the first row for a task set that has no leader leads
+///   it: on its own worker it runs the queued rows through one
+///   [`QueryService::predict_batch`] — at once, or after waiting up to
+///   `delay` for company when a batch delay is configured.
+/// * **Followers** — rows arriving while the leader's pass runs queue
+///   behind it. When the pass ends, the leader hands the set to the first
+///   queued row, whose worker runs them all as the next batch; the old
+///   leader goes straight back to answering its own client.
+/// * **Full queue** — a queue that reaches `max_batch` rows flushes
+///   inline on the worker that filled it.
 ///
 /// [`BatchScheduler::drain`] (shutdown) flushes every queue and marks the
 /// scheduler drained; requests submitted after that run immediately as
@@ -494,9 +522,8 @@ struct BatchScheduler {
     input_dim: usize,
     max_batch: usize,
     delay: Duration,
-    /// `None` once drained; the timer thread exits when it sees that.
-    queues: Mutex<Option<HashMap<Vec<usize>, PendingBatch>>>,
-    cvar: Condvar,
+    /// `None` once drained.
+    queues: Mutex<Option<Queues>>,
     metrics: BatchMetrics,
 }
 
@@ -509,73 +536,123 @@ impl BatchScheduler {
             max_batch: cfg.max_batch.max(2),
             delay: cfg.batch_delay,
             queues: Mutex::new(Some(HashMap::new())),
-            cvar: Condvar::new(),
             metrics,
         }
     }
 
-    fn lock_queues(&self) -> MutexGuard<'_, Option<HashMap<Vec<usize>, PendingBatch>>> {
+    fn lock_queues(&self) -> MutexGuard<'_, Option<Queues>> {
         self.queues.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Parks one request and blocks until its batch is flushed, returning
+    /// Queues one request and blocks until its batch has run, returning
     /// this row's prediction (or the whole batch's consolidation error).
+    /// The calling worker may lead a batch on the way.
     fn submit(&self, mut tasks: Vec<usize>, features: Vec<f32>) -> Result<Prediction, WireError> {
         tasks.sort_unstable(); // batch key = sorted task set, like the cache
-        let request_id = poe_obs::current_request_id();
-        let (rx, full) = {
+        let arrived = Instant::now();
+        // Room for a `Lead` and then a `Done`, so no send ever blocks.
+        let (tx, rx) = sync_channel(2);
+        let row = Parked {
+            features,
+            tx,
+            request_id: poe_obs::current_request_id(),
+        };
+        let (mut leading, full) = {
             let mut guard = self.lock_queues();
             let Some(queues) = guard.as_mut() else {
-                // Drained: no timer thread will come, so run immediately.
+                // Drained: nothing will flush a queue again, so run now.
                 drop(guard);
-                return self.run_straggler(&tasks, features, request_id);
+                self.flush(&tasks, vec![row], "drain");
+                return wake_result(rx.recv());
             };
-            let (tx, rx) = sync_channel(1);
-            let batch = queues.entry(tasks.clone()).or_insert_with(|| PendingBatch {
-                rows: Vec::new(),
-                deadline: Instant::now() + self.delay,
-            });
-            batch.rows.push(Parked {
-                features,
-                tx,
-                request_id,
-            });
-            let full = if batch.rows.len() >= self.max_batch {
-                queues.remove(&tasks)
+            let (leading, full) = match queues.get_mut(&tasks) {
+                Some(rows) => {
+                    rows.push(row);
+                    let full = rows.len() >= self.max_batch;
+                    (false, full.then(|| std::mem::take(rows)))
+                }
+                None => {
+                    queues.insert(tasks.clone(), vec![row]);
+                    (true, None)
+                }
+            };
+            self.metrics.queue_depth.set(depth_of(queues) as f64);
+            (leading, full)
+        };
+        if let Some(rows) = full {
+            // This request completed the batch: flush inline (the sends
+            // include our own row, so the recv below cannot block).
+            self.flush(&tasks, rows, "full");
+        }
+        loop {
+            let early = if leading {
+                self.lead(&tasks, arrived, &rx)
             } else {
                 None
             };
-            self.metrics.queue_depth.set(depth_of(queues) as f64);
-            (rx, full)
-        };
-        match full {
-            Some(batch) => {
-                // This request completed the batch: flush inline (the
-                // sends below include our own row, so recv cannot block).
-                self.flush(&tasks, batch, "full");
+            match early.unwrap_or_else(|| rx.recv()) {
+                Ok(Wake::Lead) => leading = true,
+                other => return wake_result(other),
             }
-            // A new row may have moved the earliest deadline: wake the
-            // timer thread to re-arm.
-            None => self.cvar.notify_all(),
         }
-        match rx.recv() {
-            Ok(Ok(p)) => Ok(p),
-            Ok(Err(e)) => Err(WireError::Query(e)),
-            Err(_) => Err(WireError::BatchAborted),
+    }
+
+    /// Runs the task set's next batch as its leader, then hands the set on
+    /// (see [`Leadership`]). With a batch delay the leader first waits on
+    /// its own worker for company; a full-queue flush or a drain that
+    /// takes its row ends the wait early, and that wake-up is returned.
+    fn lead(
+        &self,
+        tasks: &[usize],
+        arrived: Instant,
+        rx: &Receiver<Wake>,
+    ) -> Option<Result<Wake, RecvError>> {
+        let _leadership = Leadership {
+            batcher: self,
+            tasks,
+        };
+        let cause = if self.delay.is_zero() {
+            "leader"
+        } else {
+            // An absurd `--batch-delay-us` must not overflow `Instant`.
+            let wait = arrived
+                .checked_add(self.delay)
+                .map_or(self.delay, |deadline| {
+                    deadline.saturating_duration_since(Instant::now())
+                });
+            match rx.recv_timeout(wait) {
+                Err(RecvTimeoutError::Timeout) => "timeout",
+                Ok(wake) => return Some(Ok(wake)),
+                Err(RecvTimeoutError::Disconnected) => return Some(Err(RecvError)),
+            }
+        };
+        let rows = {
+            let mut guard = self.lock_queues();
+            let queues = guard.as_mut()?;
+            let rows = queues
+                .get_mut(tasks)
+                .map(std::mem::take)
+                .unwrap_or_default();
+            self.metrics.queue_depth.set(depth_of(queues) as f64);
+            rows
+        };
+        if !rows.is_empty() {
+            self.flush(tasks, rows, cause);
         }
+        None
     }
 
     /// Runs one batched inference and demultiplexes per-row results to
     /// every parked connection. `cause` names what triggered the flush
-    /// (`full` / `timeout` / `drain`) and drives both the per-cause flush
-    /// counter and the `batch.flush` flight-recorder event. A panic inside
-    /// the model (a bug, or an injected chaos fault) is contained here:
-    /// the senders drop, every waiter answers `ERR batch aborted`, a
-    /// `batch.abort` event names the lost request ids, and the scheduler
-    /// lives on.
-    fn flush(&self, tasks: &[usize], batch: PendingBatch, cause: &'static str) {
-        let rows = batch.rows;
+    /// (`leader` / `full` / `timeout` / `drain`) and drives both the
+    /// per-cause flush counter and the `batch.flush` flight-recorder event.
+    /// A panic inside the model (a bug, or an injected chaos fault) is
+    /// contained here: the senders drop, every waiter answers `ERR batch
+    /// aborted`, a `batch.abort` event names the lost request ids, and the
+    /// scheduler lives on.
+    fn flush(&self, tasks: &[usize], rows: Vec<Parked>, cause: &'static str) {
         match cause {
+            "leader" => self.metrics.flush_leader.inc(),
             "full" => self.metrics.flush_full.inc(),
             "timeout" => self.metrics.flush_timeout.inc(),
             _ => self.metrics.flush_drain.inc(),
@@ -598,17 +675,18 @@ impl BatchScheduler {
         }
         let x = Tensor::from_vec(data, [rows.len(), self.input_dim]);
         match catch_unwind(AssertUnwindSafe(|| {
+            poe_chaos::stall(poe_chaos::sites::SERVE_BATCH_STALL);
             poe_chaos::maybe_panic(poe_chaos::sites::SERVE_BATCH_PANIC);
             self.service.predict_batch(tasks, &x)
         })) {
             Ok(Ok(preds)) => {
                 for (p, parked) in preds.into_iter().zip(rows) {
-                    let _ = parked.tx.send(Ok(p));
+                    let _ = parked.tx.send(Wake::Done(Ok(p)));
                 }
             }
             Ok(Err(e)) => {
                 for parked in rows {
-                    let _ = parked.tx.send(Err(e.clone()));
+                    let _ = parked.tx.send(Wake::Done(Err(e.clone())));
                 }
             }
             Err(_) => {
@@ -627,40 +705,17 @@ impl BatchScheduler {
         }
     }
 
-    /// A post-drain request: run it alone, still through [`Self::flush`]
-    /// so `service.batch.*` accounting and flight-recorder events stay
-    /// complete.
-    fn run_straggler(
-        &self,
-        tasks: &[usize],
-        features: Vec<f32>,
-        request_id: u64,
-    ) -> Result<Prediction, WireError> {
-        let (tx, rx) = sync_channel(1);
-        let batch = PendingBatch {
-            rows: vec![Parked {
-                features,
-                tx,
-                request_id,
-            }],
-            deadline: Instant::now(),
-        };
-        self.flush(tasks, batch, "drain");
-        match rx.recv() {
-            Ok(Ok(p)) => Ok(p),
-            Ok(Err(e)) => Err(WireError::Query(e)),
-            Err(_) => Err(WireError::BatchAborted),
-        }
-    }
-
     /// Shutdown: flush every parked queue (no request is lost) and mark
-    /// the scheduler drained so the timer thread exits. Idempotent.
+    /// the scheduler drained. Leaders still mid-pass finish on their own
+    /// workers. Idempotent.
     fn drain(&self) {
-        let taken = self.lock_queues().take();
-        self.cvar.notify_all();
-        let Some(queues) = taken else { return };
-        for (tasks, batch) in queues {
-            self.flush(&tasks, batch, "drain");
+        let Some(queues) = self.lock_queues().take() else {
+            return;
+        };
+        for (tasks, rows) in queues {
+            if !rows.is_empty() {
+                self.flush(&tasks, rows, "drain");
+            }
         }
         self.metrics.queue_depth.set(0.0);
     }
@@ -669,56 +724,55 @@ impl BatchScheduler {
     /// the `HEALTH` verb's `batch_queues`/`batch_depth` fields.
     fn queue_stats(&self) -> (usize, usize) {
         match self.lock_queues().as_ref() {
-            Some(queues) => (queues.len(), depth_of(queues)),
+            Some(queues) => (
+                queues.values().filter(|rows| !rows.is_empty()).count(),
+                depth_of(queues),
+            ),
             None => (0, 0),
         }
     }
 }
 
-fn depth_of(queues: &HashMap<Vec<usize>, PendingBatch>) -> usize {
-    queues.values().map(|b| b.rows.len()).sum()
+/// A worker's lead of one task set. Dropping it — after the leader's pass,
+/// or on an early wake-up — hands the set to the first queued row (whose
+/// worker runs the next batch) or, with nothing queued, releases it so the
+/// next arrival leads at once.
+struct Leadership<'a> {
+    batcher: &'a BatchScheduler,
+    tasks: &'a [usize],
 }
 
-/// The timer thread: flushes batches whose delay window expired. Full-queue
-/// flushes happen inline on worker threads; this thread only enforces the
-/// latency bound and exits once [`BatchScheduler::drain`] runs.
-fn batcher_loop(scheduler: Arc<BatchScheduler>) {
-    let mut guard = scheduler.lock_queues();
-    while let Some(queues) = guard.as_mut() {
-        let now = Instant::now();
-        let expired: Vec<Vec<usize>> = queues
-            .iter()
-            .filter(|(_, b)| b.deadline <= now)
-            .map(|(k, _)| k.clone())
-            .collect();
-        if !expired.is_empty() {
-            let batches: Vec<(Vec<usize>, PendingBatch)> = expired
-                .into_iter()
-                .filter_map(|k| queues.remove(&k).map(|b| (k, b)))
-                .collect();
-            scheduler.metrics.queue_depth.set(depth_of(queues) as f64);
-            drop(guard);
-            for (tasks, batch) in batches {
-                scheduler.flush(&tasks, batch, "timeout");
-            }
-            guard = scheduler.lock_queues();
-            continue;
-        }
-        guard = match queues.values().map(|b| b.deadline).min() {
-            Some(deadline) => {
-                let wait = deadline.saturating_duration_since(now);
-                scheduler
-                    .cvar
-                    .wait_timeout(guard, wait)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0
-            }
-            None => scheduler
-                .cvar
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner),
+impl Drop for Leadership<'_> {
+    fn drop(&mut self) {
+        let mut guard = self.batcher.lock_queues();
+        let Some(queues) = guard.as_mut() else {
+            return; // drained: the drain flushed whatever was queued
         };
+        match queues.get(self.tasks).and_then(|rows| rows.first()) {
+            // A queued requester is blocked on its channel, which holds
+            // nothing yet, so the send cannot fail.
+            Some(next) => {
+                let _ = next.tx.try_send(Wake::Lead);
+            }
+            None => {
+                queues.remove(self.tasks);
+            }
+        }
     }
+}
+
+/// Maps a parked request's wake-up to its answer. A closed channel means
+/// its batch was aborted by a panic.
+fn wake_result(wake: Result<Wake, RecvError>) -> Result<Prediction, WireError> {
+    match wake {
+        Ok(Wake::Done(Ok(p))) => Ok(p),
+        Ok(Wake::Done(Err(e))) => Err(WireError::Query(e)),
+        Ok(Wake::Lead) | Err(_) => Err(WireError::BatchAborted),
+    }
+}
+
+fn depth_of(queues: &Queues) -> usize {
+    queues.values().map(Vec::len).sum()
 }
 
 /// Progress shared between the acceptor, the workers, and `join`.
@@ -827,7 +881,6 @@ pub struct Server {
     shared: Arc<ServerShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    batcher: Option<std::thread::JoinHandle<()>>,
     /// The running event loop when the epoll backend is active.
     event_loop: Option<epoll::EpollParts>,
 }
@@ -907,14 +960,6 @@ impl Server {
             batcher: batch_scheduler,
             net_handle: OnceLock::new(),
         });
-        let batcher_thread = shared.batcher.as_ref().map(|b| {
-            let b = Arc::clone(b);
-            std::thread::Builder::new()
-                .name("poe-serve-batcher".into())
-                .spawn(move || batcher_loop(b))
-                .expect("spawn serve batcher")
-        });
-
         if net == NetBackend::Epoll {
             match epoll::start(listener, Arc::clone(&shared), workers_n) {
                 Ok((parts, workers)) => {
@@ -922,7 +967,6 @@ impl Server {
                         shared,
                         workers,
                         acceptor: None,
-                        batcher: batcher_thread,
                         event_loop: Some(parts),
                     });
                 }
@@ -959,7 +1003,6 @@ impl Server {
             shared,
             workers,
             acceptor: Some(acceptor),
-            batcher: batcher_thread,
             event_loop: None,
         })
     }
@@ -1047,11 +1090,6 @@ impl Server {
         }
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
-        }
-        // trigger_shutdown drained the batch queues; the timer thread saw
-        // the drained marker and exited.
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
         }
 
         // The black box's shutdown entry, then the final dump (when a
@@ -2130,7 +2168,9 @@ mod tests {
             ..ServeConfig::default()
         });
         let (mut w, mut r) = client(addr);
-        assert!(ask(&mut w, &mut r, "QUERY 1").starts_with("OK outputs="));
+        // The `@origin` prefix tags this QUERY's flight events so the
+        // lookup below cannot pick up a concurrent test's request.
+        assert!(ask(&mut w, &mut r, "@424242 QUERY 1").starts_with("OK outputs="));
         let d = ask(&mut w, &mut r, "DUMP");
         assert!(d.starts_with("OK dump path="), "{d}");
         let path = d
@@ -2155,7 +2195,7 @@ mod tests {
         let start_ev = events
             .iter()
             .rev()
-            .find(|e| e.kind == "request.start" && e.detail == "verb=QUERY")
+            .find(|e| e.kind == "request.start" && e.detail == "verb=QUERY origin=424242")
             .expect("request.start for the QUERY");
         assert!(
             events.iter().any(|e| e.kind == "request.end"
@@ -2200,9 +2240,16 @@ mod tests {
             .into_iter()
             .filter(|e| e.seq > before)
             .collect();
+        // The recorder is process-wide: other tests' flushes land in it
+        // too, so pick this test's flush by its task set (no other test
+        // fills a queue for task set {1}).
         let flush = events
             .iter()
-            .find(|e| e.kind == "batch.flush" && e.detail.contains("cause=full"))
+            .find(|e| {
+                e.kind == "batch.flush"
+                    && e.detail.contains("cause=full")
+                    && e.detail.contains(" tasks=1 ")
+            })
             .expect("full-queue batch.flush event");
         assert!(flush.detail.contains("size=2"), "{flush:?}");
         assert!(flush.detail.contains("tasks=1"), "{flush:?}");
@@ -2511,14 +2558,14 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// `HEALTH` sees rows parked in the batch queues while they wait for
-    /// the delay timer.
+    /// `HEALTH` sees rows parked in the batch queues while their leader
+    /// waits out the batch delay.
     #[test]
     fn health_reports_parked_batch_depth() {
         let (server, svc, addr) = start(ServeConfig {
             workers: 4,
             max_batch: 8,
-            batch_delay: Duration::from_secs(30), // timer never fires
+            batch_delay: Duration::from_secs(30), // the leader never stops waiting
             ..ServeConfig::default()
         });
         let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
@@ -2617,6 +2664,35 @@ mod tests {
         let report = server.join().unwrap();
         assert!(!report.drain_timed_out, "epoll drain needs no force-close");
         assert_eq!(report.handled, 1);
+    }
+
+    /// A `HEALTH` that is already in the listener's backlog when the epoll
+    /// loop starts is answered (the loop is wired to its service before it
+    /// runs), and the server keeps accepting afterwards.
+    #[test]
+    fn epoll_answers_a_line_queued_before_start() {
+        if !poe_net::epoll_supported() {
+            return;
+        }
+        let svc = toy_service();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (mut early_w, mut early_r) = client(addr);
+        writeln!(early_w, "HEALTH").unwrap();
+        let cfg = ServeConfig {
+            net: NetBackend::Epoll,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(listener, Arc::clone(&svc), 4, cfg).unwrap();
+        let mut line = String::new();
+        early_r.read_line(&mut line).unwrap();
+        assert!(line.starts_with("OK live=1 ready=1 "), "{line}");
+        let (mut w, mut r) = client(addr);
+        let h = ask(&mut w, &mut r, "HEALTH");
+        assert!(h.starts_with("OK live=1 ready=1 "), "{h}");
+        assert_eq!(svc.obs().registry.counter("serve.worker_panics").get(), 0);
+        server.handle().shutdown();
+        server.join().unwrap();
     }
 
     /// The epoll connection cap shows up on the wire as the same
@@ -2720,7 +2796,41 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// A lone PREDICT is not stuck behind `--max-batch`: the delay timer
+    /// With the default config (no batch delay) a lone PREDICT leads its
+    /// task set and runs at once on its own worker, as a batch of one —
+    /// no timer flush, and no batcher thread anywhere in the process.
+    #[test]
+    fn lone_predict_runs_at_once_by_default() {
+        let (server, svc, addr) = start(ServeConfig::default());
+        let (mut w, mut r) = client(addr);
+        let got = ask(&mut w, &mut r, "PREDICT 1 : 1 2 3 4");
+        assert!(got.starts_with("OK class="), "{got}");
+        let reg = &svc.obs().registry;
+        assert_eq!(reg.counter("serve.batch.flush.leader").get(), 1);
+        assert_eq!(reg.counter("serve.batch.flush.timeout").get(), 0);
+        assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
+        assert_eq!(
+            reg.histogram("serve.batch.size").snapshot().quantile_n(0.5),
+            Some(2),
+            "batch of 1 (bucket upper bound 2)"
+        );
+        assert_eq!(reg.gauge("serve.batch.queue_depth").get(), 0.0);
+        // Thread names as the kernel keeps them (truncated to 15 bytes).
+        if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
+            for task in tasks.flatten() {
+                let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+                assert!(
+                    !comm.starts_with("poe-serve-batch"),
+                    "a batcher thread exists: {comm}"
+                );
+            }
+        }
+        server.handle().shutdown();
+        server.join().unwrap();
+    }
+
+    /// With a batch delay, a lone PREDICT is not stuck behind
+    /// `--max-batch`: its leader waits out the delay on its own worker and
     /// flushes it as a batch of one.
     #[test]
     fn lone_predict_is_flushed_by_the_delay_timer() {
@@ -2781,7 +2891,7 @@ mod tests {
         let (server, svc, addr) = start(ServeConfig {
             workers: 4,
             max_batch: 8,                         // stays half-full
-            batch_delay: Duration::from_secs(30), // timer never fires
+            batch_delay: Duration::from_secs(30), // the leader never stops waiting
             ..ServeConfig::default()
         });
         let depth = svc.obs().registry.gauge("serve.batch.queue_depth");

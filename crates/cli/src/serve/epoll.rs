@@ -30,7 +30,7 @@ use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// The running loop plus the service it drives; joined by `Server::join`.
@@ -66,20 +66,23 @@ pub(super) fn start(
         flight: Some(Arc::clone(&obs.flight)),
     };
     let (tx, rx) = channel::<(ConnToken, String)>();
-    let svc = Arc::new(EpollService {
-        shared: Arc::clone(&shared),
-        tx: Mutex::new(Some(tx)),
-        completions: OnceLock::new(),
-    });
-    let event_loop = EventLoop::start(listener, svc.clone(), loop_cfg)?;
-    let handle = event_loop.handle();
-    svc.completions
-        .set(handle.completions())
-        .expect("completions set once");
-    shared
-        .net_handle
-        .set(handle)
-        .expect("one event loop per server");
+    // Wired before the loop thread starts: a line already waiting in the
+    // listener's backlog finds both the completions and the loop handle.
+    let (event_loop, svc) = EventLoop::start(
+        listener,
+        |handle| {
+            shared
+                .net_handle
+                .set(handle.clone())
+                .expect("one event loop per server");
+            Arc::new(EpollService {
+                shared: Arc::clone(&shared),
+                tx: Mutex::new(Some(tx)),
+                completions: handle.completions(),
+            })
+        },
+        loop_cfg,
+    )?;
     let rx = Arc::new(Mutex::new(rx));
     let mut workers = Vec::with_capacity(workers_n);
     for i in 0..workers_n {
@@ -100,7 +103,7 @@ struct EpollService {
     shared: Arc<ServerShared>,
     /// Dispatch queue into the worker pool; dropped to stop the workers.
     tx: Mutex<Option<Sender<(ConnToken, String)>>>,
-    completions: OnceLock<Completions>,
+    completions: Completions,
 }
 
 impl EpollService {
@@ -109,10 +112,6 @@ impl EpollService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
-    }
-
-    fn completions(&self) -> &Completions {
-        self.completions.get().expect("loop started")
     }
 
     /// Runs one request through the shared `respond_action` pipeline —
@@ -132,7 +131,7 @@ impl EpollService {
                     Action::Close => After::Close,
                     Action::Shutdown => After::Shutdown,
                 };
-                self.completions().complete(conn, response, after);
+                self.completions.complete(conn, response, after);
                 if matches!(action, Action::Shutdown) {
                     shared.trigger_shutdown();
                 }
@@ -145,8 +144,7 @@ impl EpollService {
                     format!("conn={conn} contained=1"),
                 );
                 shared.cvar.notify_all();
-                self.completions()
-                    .complete(conn, String::new(), After::Abort);
+                self.completions.complete(conn, String::new(), After::Abort);
             }
         }
     }
@@ -174,8 +172,7 @@ impl NetService for EpollService {
             // Workers already gone (shutdown race): never leave a
             // dispatched connection waiting for a completion that cannot
             // come.
-            self.completions()
-                .complete(conn, String::new(), After::Abort);
+            self.completions.complete(conn, String::new(), After::Abort);
         }
     }
 

@@ -315,14 +315,18 @@ pub struct EventLoop {
 }
 
 impl EventLoop {
-    /// Starts the loop on its own thread. Fails with `Unsupported` where
-    /// the raw-epoll backend is not compiled in — callers fall back to
-    /// the threads backend.
-    pub fn start(
+    /// Starts the loop on its own thread and returns it with the service
+    /// it drives. `make_service` builds that service from the loop's
+    /// handle *before* the loop thread starts, so the service holds its
+    /// [`Completions`] (and any other handle state) by the time the first
+    /// line — even one already waiting in the listener's backlog — is
+    /// dispatched. Fails with `Unsupported` where the raw-epoll backend is
+    /// not compiled in — callers fall back to the threads backend.
+    pub fn start<S: NetService + 'static>(
         listener: TcpListener,
-        service: Arc<dyn NetService>,
+        make_service: impl FnOnce(&LoopHandle) -> Arc<S>,
         cfg: LoopConfig,
-    ) -> io::Result<EventLoop> {
+    ) -> io::Result<(EventLoop, Arc<S>)> {
         let poller = Poller::new()?;
         let waker = Waker::new()?;
         listener.set_nonblocking(true)?;
@@ -338,11 +342,12 @@ impl EventLoop {
         let handle = LoopHandle {
             ctl: Arc::clone(&ctl),
         };
+        let service = make_service(&handle);
         let metrics = cfg.metrics.clone().unwrap_or_else(NetMetrics::detached);
         let mut inner = LoopInner {
             poller,
             ctl,
-            service,
+            service: Arc::clone(&service) as Arc<dyn NetService>,
             cfg,
             metrics,
             listener: Some(listener),
@@ -356,10 +361,13 @@ impl EventLoop {
         let thread = std::thread::Builder::new()
             .name("poe-net-loop".into())
             .spawn(move || inner.run())?;
-        Ok(EventLoop {
-            handle,
-            thread: Some(thread),
-        })
+        Ok((
+            EventLoop {
+                handle,
+                thread: Some(thread),
+            },
+            service,
+        ))
     }
 
     /// The cross-thread control handle.
@@ -878,25 +886,13 @@ mod tests {
     /// Echo service answering on a tiny thread pool, like the real
     /// dispatch stage.
     struct Echo {
-        completions: Mutex<Option<Completions>>,
+        completions: Completions,
         shed: AtomicUsize,
-    }
-
-    impl Echo {
-        fn new() -> Arc<Echo> {
-            Arc::new(Echo {
-                completions: Mutex::new(None),
-                shed: AtomicUsize::new(0),
-            })
-        }
-        fn wire(&self, c: Completions) {
-            *self.completions.lock().unwrap() = Some(c);
-        }
     }
 
     impl NetService for Echo {
         fn dispatch(&self, conn: ConnToken, line: String) {
-            let done = self.completions.lock().unwrap().clone().unwrap();
+            let done = self.completions.clone();
             std::thread::spawn(move || {
                 let after = match line.as_str() {
                     "QUIT" => After::Close,
@@ -924,9 +920,17 @@ mod tests {
     fn start(cfg: LoopConfig) -> (EventLoop, Arc<Echo>, std::net::SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let svc = Echo::new();
-        let el = EventLoop::start(listener, svc.clone() as Arc<dyn NetService>, cfg).unwrap();
-        svc.wire(el.handle().completions());
+        let (el, svc) = EventLoop::start(
+            listener,
+            |h| {
+                Arc::new(Echo {
+                    completions: h.completions(),
+                    shed: AtomicUsize::new(0),
+                })
+            },
+            cfg,
+        )
+        .unwrap();
         (el, svc, addr)
     }
 

@@ -8,7 +8,14 @@
 //! * **Wire level** — a real [`poe_cli::serve::Server`] coalescing a dozen
 //!   concurrent `PREDICT`s (including permuted task lists) must answer
 //!   each connection exactly what the unbatched library path answers.
+//!
+//! The group-commit tests hold a batch leader mid-pass with the
+//! `serve.batch.stall` chaos site, so rows for its task set queue behind
+//! it. Chaos plans are process-wide, so every wire test here holds a
+//! [`ChaosGuard`](poe_chaos::ChaosGuard) (an empty plan if it injects
+//! nothing) and the stall never lands in another test's flush.
 
+use poe_chaos::{sites, ChaosPlan, Fault, FaultKind};
 use poe_cli::serve::{respond, ServeConfig, Server};
 use poe_core::pool::{Expert, ExpertPool};
 use poe_core::service::QueryService;
@@ -18,7 +25,7 @@ use poe_tensor::{Prng, Tensor};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A seeded pool with `tasks` primitive tasks over `dim`-dimensional
 /// inputs — weights, widths, and class counts all vary with the seed.
@@ -135,6 +142,7 @@ fn parse_prediction(line: &str) -> (usize, usize, f32) {
 /// flowed through the batch scheduler.
 #[test]
 fn concurrent_wire_predictions_match_the_unbatched_path() {
+    let _serial = ChaosPlan::new(poe_chaos::seed_from_env()).install();
     const DIM: usize = 4;
     let svc = random_service(83, 4, DIM);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -192,12 +200,200 @@ fn concurrent_wire_predictions_match_the_unbatched_path() {
     let reg = &svc.obs().registry;
     let sizes = reg.histogram("serve.batch.size").snapshot();
     assert!(sizes.count() >= 1, "no batch ever flushed");
+    let leader = reg.counter("serve.batch.flush.leader").get();
     let full = reg.counter("serve.batch.flush.full").get();
     let timeout = reg.counter("serve.batch.flush.timeout").get();
-    assert_eq!(full + timeout, sizes.count(), "flush causes must add up");
+    assert_eq!(
+        leader + full + timeout,
+        sizes.count(),
+        "flush causes must add up"
+    );
     assert_eq!(reg.counter("serve.batch.aborted").get(), 0);
     assert_eq!(reg.gauge("serve.batch.queue_depth").get(), 0.0);
 
     server.handle().shutdown();
     server.join().unwrap();
+}
+
+/// Sends one request line on a fresh connection, on its own thread; the
+/// handle yields the answer.
+fn send(addr: SocketAddr, req: String) -> std::thread::JoinHandle<String> {
+    std::thread::spawn(move || {
+        let (mut w, mut r) = client(addr);
+        ask(&mut w, &mut r, &req)
+    })
+}
+
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let begin = Instant::now();
+    while !cond() {
+        assert!(
+            begin.elapsed() < Duration::from_secs(10),
+            "timed out: {what}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The `batch.flush` flight events recorded since `seq_floor` for the
+/// sorted task set `tasks`, as `(cause, ids)`.
+fn flushes_since(svc: &QueryService, seq_floor: u64, tasks: &str) -> Vec<(String, Vec<u64>)> {
+    let field = |detail: &str, key: &str| -> String {
+        detail
+            .split_whitespace()
+            .find_map(|f| f.strip_prefix(key))
+            .unwrap_or_default()
+            .to_string()
+    };
+    svc.obs()
+        .flight
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.seq >= seq_floor && e.kind == "batch.flush")
+        .filter(|e| field(&e.detail, "tasks=") == tasks)
+        .map(|e| {
+            let ids = field(&e.detail, "ids=")
+                .split(',')
+                .map(|id| id.parse().unwrap())
+                .collect();
+            (field(&e.detail, "cause="), ids)
+        })
+        .collect()
+}
+
+/// A group-commit server (the default: no batch delay) whose first flush,
+/// the leader's pass for task set `{0,2}`, is held by the stall site while
+/// three more rows for the same set queue behind it.
+struct QueuedBehindLeader {
+    _chaos: poe_chaos::ChaosGuard,
+    /// The flight recorder's sequence number from before the server started.
+    seq_floor: u64,
+    server: Server,
+    svc: Arc<QueryService>,
+    /// The leader's request first, then the three queued ones.
+    requests: Vec<String>,
+    /// Their answers, in the same order.
+    answers: Vec<std::thread::JoinHandle<String>>,
+}
+
+fn queued_behind_leader(stall_ms: u64) -> QueuedBehindLeader {
+    const DIM: usize = 4;
+    let chaos = ChaosPlan::new(poe_chaos::seed_from_env())
+        .with(Fault::times(
+            sites::SERVE_BATCH_STALL,
+            FaultKind::StallMs(stall_ms),
+            1,
+        ))
+        .install();
+    let stalls_before = poe_chaos::hits(sites::SERVE_BATCH_STALL);
+    let seq_floor = poe_obs::FlightRecorder::global().recorded();
+    let svc = random_service(61, 3, DIM);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let server = Server::start(
+        listener,
+        Arc::clone(&svc),
+        DIM,
+        ServeConfig {
+            workers: 8,
+            max_batch: 8,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let requests: Vec<String> = feature_rows(13, 4, DIM)
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let feats: Vec<String> = row.iter().map(|f| format!("{f:.6}")).collect();
+            let tasks = if i % 2 == 0 { "0,2" } else { "2,0" };
+            format!("PREDICT {tasks} : {}", feats.join(" "))
+        })
+        .collect();
+    let mut answers = vec![send(addr, requests[0].clone())];
+    wait_until("leader held mid-pass", || {
+        poe_chaos::hits(sites::SERVE_BATCH_STALL) > stalls_before
+    });
+    answers.extend(requests[1..].iter().map(|req| send(addr, req.clone())));
+    let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
+    wait_until("3 rows queued behind the leader", || depth.get() == 3.0);
+    QueuedBehindLeader {
+        _chaos: chaos,
+        seq_floor,
+        server,
+        svc,
+        requests,
+        answers,
+    }
+}
+
+/// Rows that arrive while a leader's pass is held up queue behind it and
+/// run together as one follower batch once the pass ends; every answer
+/// matches the unbatched library path.
+#[test]
+fn rows_queued_behind_a_leader_run_as_one_follower_batch() {
+    let q = queued_behind_leader(1500);
+    let svc = &q.svc;
+    let answers: Vec<String> = q.answers.into_iter().map(|h| h.join().unwrap()).collect();
+    for (req, got) in q.requests.iter().zip(&answers) {
+        assert!(got.starts_with("OK class="), "{req} -> {got}");
+        let want = respond(req, svc, 4);
+        let (gc, gt, gp) = parse_prediction(got);
+        let (wc, wt, wp) = parse_prediction(&want);
+        assert_eq!((gc, gt), (wc, wt), "{req}: {got} vs {want}");
+        assert!((gp - wp).abs() <= 1e-4, "{req}: {got} vs {want}");
+    }
+
+    // The leader's batch of one, then one follower batch of the other
+    // three — both run at once, neither waited on a timer.
+    let flushes = flushes_since(svc, q.seq_floor, "0,2");
+    let sizes: Vec<usize> = flushes.iter().map(|(_, ids)| ids.len()).collect();
+    assert_eq!(sizes, vec![1, 3], "{flushes:?}");
+    assert!(
+        flushes.iter().all(|(cause, _)| cause == "leader"),
+        "{flushes:?}"
+    );
+    let reg = &svc.obs().registry;
+    assert_eq!(reg.counter("serve.batch.flush.leader").get(), 2);
+    assert_eq!(reg.counter("serve.batch.flush.timeout").get(), 0);
+    assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
+    assert_eq!(reg.gauge("serve.batch.queue_depth").get(), 0.0);
+
+    q.server.handle().shutdown();
+    q.server.join().unwrap();
+}
+
+/// `SHUTDOWN` while a leader is mid-pass and followers are queued behind
+/// it: the drain flushes the queued rows, the leader finishes its own
+/// pass, and every row is answered exactly once — none lost, none run
+/// twice.
+#[test]
+fn shutdown_mid_pass_loses_and_duplicates_no_row() {
+    let q = queued_behind_leader(1000);
+    let svc = &q.svc;
+    assert_eq!(
+        send(q.server.local_addr(), "SHUTDOWN".into())
+            .join()
+            .unwrap(),
+        "OK shutting down"
+    );
+    let answers: Vec<String> = q.answers.into_iter().map(|h| h.join().unwrap()).collect();
+    for (req, got) in q.requests.iter().zip(&answers) {
+        assert!(got.starts_with("OK class="), "row lost: {req} -> {got}");
+    }
+    q.server.join().unwrap();
+
+    // Each of the four rows ran in exactly one batch: the leader's own
+    // pass and the drain flush of the three queued rows.
+    let flushes = flushes_since(svc, q.seq_floor, "0,2");
+    let causes: Vec<&str> = flushes.iter().map(|(c, _)| c.as_str()).collect();
+    assert_eq!(causes, vec!["leader", "drain"], "{flushes:?}");
+    let mut ids: Vec<u64> = flushes.iter().flat_map(|(_, ids)| ids.clone()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 4, "a row ran twice or not at all: {flushes:?}");
+    let reg = &svc.obs().registry;
+    assert_eq!(reg.counter("service.batch.rows").get(), 4);
+    assert_eq!(reg.counter("serve.batch.aborted").get(), 0);
+    assert_eq!(reg.gauge("serve.batch.queue_depth").get(), 0.0);
 }
